@@ -3,7 +3,11 @@
 A workload is an object with:
 
 * ``name``, ``tail_pct`` (the percentile ``tail_ms`` reports),
-  ``warmup`` (rounds before the timed phase) and ``setups``;
+  ``warmup`` (rounds before the timed phase), ``setups``,
+  ``quiet_share`` (the share of timed rounds the wall-clock metrics are
+  taken over, see :func:`quiet`), ``pin`` (run the timed passes
+  pinned to one CPU, see :func:`pin_to_one_cpu`) and ``scaled``
+  (report times at the reference speed, see :func:`timings`);
 * ``setup()`` — everything up to the first timed op (compile, map,
   executive load, pool spawn); ``setup_s`` is the median of ``setups``;
 * ``teardown()`` — undo one ``setup()``;
@@ -20,6 +24,7 @@ Each round checks its own outputs and appends any mismatch to
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -36,6 +41,26 @@ class Round:
     problems: List[str] = field(default_factory=list)
     #: Anything the workload's ``layers()`` wants from a traced round.
     info: Dict[str, Any] = field(default_factory=dict)
+    #: Set by :func:`timed_pass`: the round's wall time and process-tree
+    #: CPU, the share (%) of CPU time other guests stole while it ran,
+    #: and the reference loop's time around it (see there).
+    wall_s: float = 0.0
+    cpu_s: float = 0.0
+    steal_pct: float = 0.0
+    probe_ms: float = 0.0
+
+    @property
+    def scale(self) -> float:
+        """Factor that brings this round's times to the reference
+        speed (:data:`measure.PROBE_REF_MS`); 1 for an unprobed round."""
+        return M.PROBE_REF_MS / self.probe_ms if self.probe_ms else 1.0
+
+    @property
+    def disturbance(self) -> Tuple[float, float]:
+        """How much the host disturbed this round, for ordering: the
+        share of CPU stolen outright, then, between rounds that lost the
+        same share (most often none), the reference loop's time."""
+        return self.steal_pct, self.probe_ms
 
     @property
     def ops(self) -> int:
@@ -44,11 +69,10 @@ class Round:
 
 @dataclass
 class PassResult:
-    """The rounds of one timed phase and what the tree spent on them."""
+    """The rounds of one timed phase."""
 
     rounds: List[Round]
     phase: M.Phase
-    cpu_s: float
     warm: List[Round] = field(default_factory=list)
     #: Share (%) of the host's CPU time stolen by other guests.
     steal_pct: float = 0.0
@@ -82,33 +106,85 @@ class PassResult:
 
 
 def timed_pass(workload, seconds: float, *, traced: bool,
-               warmup_rounds: int) -> PassResult:
-    """Warm up, then run whole rounds until ``seconds`` have elapsed."""
+               warmup_rounds: int, cpu: Optional[int] = None) -> PassResult:
+    """Warm up, then run whole rounds until ``seconds`` have elapsed.
+
+    Around each round it times the reference loop
+    (:func:`measure.cpu_probe_ms`) and reads the CPU steal: that of
+    ``cpu`` when the pass is pinned to it, else the whole host's.
+    """
     warm = [workload.round(traced) for _ in range(warmup_rounds)]
     host0 = M.host_cpu_ticks()
-    cpu0 = M.tree_sample()
     phase = M.Phase(start=M.now())
     rounds: List[Round] = []
     while True:
+        probe0 = M.cpu_probe_ms()
+        h0, c0, t0 = M.host_cpu_ticks(cpu), M.tree_sample(), M.now()
         r = workload.round(traced)
-        phase.add(M.now(), r.units, r.ops)
+        t1 = M.now()
+        r.cpu_s = M.tree_cpu_between(c0, M.tree_sample())
+        r.steal_pct = M.steal_pct(h0, M.host_cpu_ticks(cpu))
+        r.probe_ms = (probe0 + M.cpu_probe_ms()) / 2.0
+        r.wall_s = t1 - t0
+        phase.add(t1, r.units, r.ops)
         rounds.append(r)
-        if M.now() - phase.start >= seconds:
+        if t1 - phase.start >= seconds:
             break
-    cpu_s = M.tree_cpu_between(cpu0, M.tree_sample())
-    steal, total = (b - a for a, b in zip(host0, M.host_cpu_ticks()))
-    return PassResult(rounds, phase, cpu_s, warm,
-                      100.0 * steal / total if total else 0.0)
+    return PassResult(rounds, phase, warm,
+                      M.steal_pct(host0, M.host_cpu_ticks()))
 
 
-def setup_times(workload) -> List[float]:
-    """Run ``setup()`` ``workload.setups`` times, keeping the last one up."""
+def quiet(p: PassResult, share: float) -> List[Round]:
+    """The ``share`` of ``p``'s timed rounds the host disturbed least.
+
+    Other guests of a shared host slow its CPUs for seconds at a time:
+    they steal them outright, or share their cores and caches, which
+    shows in no counter but makes the same Python loop take up to half
+    again as long.  :attr:`Round.disturbance` measures both, and the
+    wall-clock and CPU metrics are taken over the rounds where it was
+    lowest.  It is measured outside the round's own timing, so a slow
+    round of the program's making is not left out for being slow.
+    """
+    keep = M.quiet_rounds([r.disturbance for r in p.rounds], share)
+    return [p.rounds[i] for i in keep]
+
+
+def rate(rounds: List[Round], scaled: bool) -> float:
+    """Units per wall second over ``rounds``, at the reference speed
+    with ``scaled``."""
+    wall = sum(r.wall_s * (r.scale if scaled else 1.0) for r in rounds)
+    if wall <= 0:
+        raise ValueError("no timed round to take a rate over")
+    return sum(r.units for r in rounds) / wall
+
+
+def pin_to_one_cpu() -> int:
+    """Pin every thread of this process, and so every thread it starts
+    later, to the lowest CPU it may run on.  Child processes already
+    running are left alone.  Returns that CPU.
+    """
+    cpu = min(os.sched_getaffinity(0))
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            os.sched_setaffinity(int(tid), {cpu})
+        except OSError:  # the thread ended meanwhile
+            pass
+    return cpu
+
+
+def setup_times(workload) -> List[Tuple[float, float]]:
+    """Run ``setup()`` ``workload.setups`` times, keeping the last one up.
+
+    Returns each set-up's wall time with the reference loop's time
+    just before it.
+    """
     times = []
     n = workload.setups
     for i in range(n):
+        probe = M.cpu_probe_ms()
         t0 = M.now()
         workload.setup()
-        times.append(M.now() - t0)
+        times.append((M.now() - t0, probe))
         if i < n - 1:
             workload.teardown()
     return times
@@ -120,19 +196,36 @@ def tail_pct(workload, n: int) -> float:
     return min(workload.tail_pct, M.tail_percentile(n) or 50.0)
 
 
-def end_to_end(workload, setups: List[float], p: PassResult) -> Dict[str, float]:
-    lat = p.latencies_ms
-    tail_p = tail_pct(workload, len(lat))
-    out = {
-        "setup_s": M.median(setups),
-        "rate_per_s": p.phase.rate,
+def timings(workload, setups: List[Tuple[float, float]], p: PassResult,
+            scaled: bool) -> Dict[str, float]:
+    """Set-up, wall-clock and CPU figures over the quiet rounds.
+
+    With ``scaled``, each time is brought to the reference speed: this
+    is right for an op that is all interpreter work on one thread, whose
+    time is the reference loop's time times a constant.  An op that
+    also waits on timers or on other processes is taken as measured.
+    """
+    rounds = quiet(p, workload.quiet_share)
+    k = {id(r): r.scale if scaled else 1.0 for r in rounds}
+    lat = [x * k[id(r)] for r in rounds for x in r.latencies_ms]
+    return {
+        "setup_s": M.median([t * (M.PROBE_REF_MS / probe if scaled else 1.0)
+                             for t, probe in setups]),
+        "rate_per_s": rate(rounds, scaled),
         "p50_ms": M.percentile(lat, 50.0),
-        "tail_ms": M.percentile(lat, tail_p),
-        "cpu_ms_per_op": 1e3 * p.cpu_s / p.ops,
-        "peak_rss_mb": M.tree_peak_rss_mb(
-            M.live_hwm_kb(pid) for pid in M.descendants()),
+        "tail_ms": M.percentile(lat, tail_pct(workload, len(lat))),
+        "cpu_ms_per_op": 1e3 * sum(r.cpu_s * k[id(r)] for r in rounds)
+                         / sum(r.ops for r in rounds),
     }
-    out.update(workload.model_metrics(tail_p))
+
+
+def end_to_end(workload, setups: List[Tuple[float, float]],
+               p: PassResult) -> Dict[str, float]:
+    out = timings(workload, setups, p, workload.scaled)
+    n = sum(len(r.latencies_ms) for r in quiet(p, workload.quiet_share))
+    out["peak_rss_mb"] = M.tree_peak_rss_mb(
+        M.live_hwm_kb(pid) for pid in M.descendants())
+    out.update(workload.model_metrics(tail_pct(workload, n)))
     return out
 
 

@@ -92,12 +92,42 @@ class Phase:
     def seconds(self) -> float:
         return (self.end or self.start) - self.start
 
-    @property
-    def rate(self) -> float:
-        """Units per wall second over the timed phase."""
-        if self.end is None or self.seconds <= 0:
-            raise ValueError("the timed phase completed no round")
-        return self.units / self.seconds
+
+def quiet_rounds(disturbance: Sequence, share: float) -> List[int]:
+    """Indices, in order, of the ``share`` of rounds least disturbed.
+
+    ``disturbance`` holds one comparable value per round, lower meaning
+    less disturbed by the host.  Ties keep the earlier round; at least
+    one round is kept.
+    """
+    if not disturbance:
+        raise ValueError("no rounds to choose from")
+    n = max(1, round(len(disturbance) * share))
+    order = sorted(range(len(disturbance)),
+                   key=lambda i: (disturbance[i], i))
+    return sorted(order[:n])
+
+
+#: Iterations of the reference loop :func:`cpu_probe_ms` times.
+PROBE_LOOPS = 20_000
+#: The loop's time (ms) on the reference host (2-vCPU x86-64, Python
+#: 3.11) when other guests leave it alone; times measured while the
+#: loop takes longer are scaled down by the same factor.
+PROBE_REF_MS = 1.25
+
+
+def cpu_probe_ms() -> float:
+    """CPU time (ms) the calling thread spends on a fixed pure-Python
+    loop: how fast the host runs this interpreter at this moment.
+
+    Thread CPU time leaves out the time other threads hold the
+    interpreter lock, so the program's own threads do not enter it.
+    """
+    t = time.thread_time()
+    x = 0
+    for i in range(PROBE_LOOPS):
+        x += i * i % 7
+    return (time.thread_time() - t) * 1e3
 
 
 # -- process-tree CPU and memory ----------------------------------------------
@@ -205,21 +235,40 @@ def tree_peak_rss_mb(children_hwm_kb: Iterable[int] = ()) -> float:
     return (own + reaped + live) / 1024.0
 
 
-def host_cpu_ticks() -> Tuple[int, int]:
-    """(steal, total) jiffies of the whole host from ``/proc/stat``.
+def host_cpu_ticks(cpu: Optional[int] = None) -> Tuple[int, int]:
+    """(steal, total) jiffies of the whole host, or of one CPU, from
+    ``/proc/stat``.
 
     Steal is time a virtual CPU was runnable but the hypervisor ran
     another guest: the share of it over a phase says how much other
     tenants of the host disturbed the measurement.
     """
+    tag = "cpu" if cpu is None else f"cpu{cpu}"
     with open("/proc/stat") as fh:
-        fields = [int(x) for x in fh.readline().split()[1:]]
+        for line in fh:
+            name, *rest = line.split()
+            if name == tag:
+                fields = [int(x) for x in rest]
+                break
+        else:
+            raise ValueError(f"no {tag} line in /proc/stat")
     steal = fields[7] if len(fields) > 7 else 0
     return steal, sum(fields[:8])
 
 
+def steal_pct(a: Tuple[int, int], b: Tuple[int, int]) -> float:
+    """Share (%) of the host's CPU time stolen between two
+    :func:`host_cpu_ticks` readings."""
+    steal, total = b[0] - a[0], b[1] - a[1]
+    return 100.0 * steal / total if total > 0 else 0.0
+
+
 def median(values: Sequence[float]) -> float:
     return float(statistics.median(values))
+
+
+def mean(values: Sequence[float]) -> float:
+    return float(statistics.fmean(values))
 
 
 def now() -> float:

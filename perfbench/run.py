@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import Dict
 
@@ -108,30 +109,38 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, SRC)
     import harness as H
+    import measure as M
 
     known = workloads()
     if args.workload not in known:
         print(f"error: unknown workload {args.workload!r} "
               f"(known: {', '.join(known)})", file=sys.stderr)
         return 2
+    # A terminated run still tears down, and so stops the pool it spawned.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     w = known[args.workload](args.seed)
     measured: Dict[str, float] = {}
+    pinned = None
     try:
         setups = H.setup_times(w)
+        if w.pin:
+            pinned = H.pin_to_one_cpu()
         if args.trace:
             plain = H.timed_pass(w, args.seconds / 2, traced=False,
-                                 warmup_rounds=w.warmup)
+                                 warmup_rounds=w.warmup, cpu=pinned)
             traced = H.timed_pass(w, args.seconds / 2, traced=True,
-                                  warmup_rounds=1)
+                                  warmup_rounds=1, cpu=pinned)
             measured = w.layers(traced, plain)
             measured["trace.overhead_pct"] = 100.0 * (
-                plain.phase.rate / traced.phase.rate - 1.0)
+                H.rate(H.quiet(plain, w.quiet_share), w.scaled)
+                / H.rate(H.quiet(traced, w.quiet_share), w.scaled) - 1.0)
             passes = [plain, traced]
         else:
             plain = H.timed_pass(w, args.seconds, traced=False,
-                                 warmup_rounds=w.warmup)
+                                 warmup_rounds=w.warmup, cpu=pinned)
             passes = [plain]
         e2e = H.end_to_end(w, setups, plain)
+        unscaled = H.timings(w, setups, plain, scaled=False)
     finally:
         w.teardown()
 
@@ -140,19 +149,28 @@ def main(argv=None) -> int:
         print(f"check failed: {p}", file=sys.stderr)
     attempted = sum(ps.attempted for ps in passes)
     failed = sum(ps.failed for ps in passes)
+    quiet = H.quiet(plain, w.quiet_share)
+    samples = sum(len(r.latencies_ms) for r in quiet)
     doc = {
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
-        "samples": len(plain.latencies_ms),
+        "rounds": len(plain.rounds),
+        "quiet_rounds": len(quiet),
+        "samples": samples,
         "host_steal_pct": plain.steal_pct,
-        "tail_pct": H.tail_pct(w, len(plain.latencies_ms)),
+        "quiet_steal_pct": M.mean([r.steal_pct for r in quiet]),
+        "probe_ms": M.median([r.probe_ms for r in plain.rounds]),
+        "quiet_probe_ms": M.median([r.probe_ms for r in quiet]),
+        "pinned_cpu": pinned,
+        "tail_pct": H.tail_pct(w, samples),
         "attempted": attempted,
         "failed": failed,
         "problems": problems[:20],
         "errors": [e for ps in passes for e in ps.errors][:20],
         "end_to_end": with_units(e2e, END_TO_END),
+        "end_to_end_unscaled": with_units(unscaled, END_TO_END),
     }
     if args.trace:
         doc["per_layer"] = with_units(measured, LAYER_UNITS)

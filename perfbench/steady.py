@@ -63,7 +63,9 @@ def main(argv=None) -> int:
             return 1
         shares.add(last["failed"] / last["attempted"])
         rows.append({k: v["value"] for k, v in last["metrics"].items()})
-        print(f"seed {seed}: steal={doc['host_steal_pct']:.1f}% " + " ".join(
+        print(f"seed {seed}: steal={doc['host_steal_pct']:.1f}% "
+              f"quiet={doc['quiet_steal_pct']:.1f}% "
+              f"probe={doc['quiet_probe_ms']:.3f}ms " + " ".join(
             f"{k}={v:.4g}" for k, v in rows[-1].items()), flush=True)
         for err in doc["errors"]:
             print(f"  failed op: {err}", flush=True)

@@ -50,6 +50,9 @@ class FarmSmall:
     tail_pct = 95.0
     warmup = 3
     setups = 15
+    quiet_share = 0.5
+    pin = True  # the executive's threads share one interpreter lock
+    scaled = False  # jobs wait on polls and timers too
     source = SOURCE
     n_workers = WORKERS
     packet = 123_456

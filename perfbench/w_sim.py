@@ -132,6 +132,9 @@ class SimStream:
     tail_pct = 90.0
     warmup = 2
     setups = 15
+    quiet_share = 0.5
+    pin = True  # one thread: pinning only stops it migrating
+    scaled = True  # all interpreter work on one thread
     source = SOURCE
     n_workers = WORKERS
     packet = (7, 123)

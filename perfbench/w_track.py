@@ -108,6 +108,9 @@ class TrackCase:
     tail_pct = 95.0
     warmup = 1
     setups = 15
+    quiet_share = 0.5
+    pin = True  # the executive's threads share one interpreter lock
+    scaled = True  # most of a frame is interpreter work on one CPU
     n_workers = WORKERS
 
     def __init__(self, seed: int):
